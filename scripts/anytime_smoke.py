@@ -15,17 +15,21 @@ The acceptance script for the anytime subsystem (CI runs it):
    finish from the checkpoint, and its ``best_ms``/``curve_ms`` must
    be **bitwise-equal** to the same scenario run uninterrupted via
    ``repro search`` — preemption must cost wall clock, never bits;
+   with ``--seeds K`` the victim is a ``kind: "multi-seed"`` sweep and
+   every member's ``best_ms`` and ``curve_ms`` must equal those of an
+   uninterrupted in-process ``MultiSeedSearch`` over the same LUT;
 5. scrape ``GET /metrics`` and assert the preemption, the resume and
    the checkpoint writes were counted, and that completion deleted
    the checkpoint row; then shut down gracefully.
 
 Usage::
 
-    PYTHONPATH=src python scripts/anytime_smoke.py
+    PYTHONPATH=src python scripts/anytime_smoke.py [--seeds K]
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -92,8 +96,33 @@ def _wait_for(predicate, timeout_s: float, what: str):
     raise SystemExit(f"timed out after {timeout_s}s waiting for {what}")
 
 
-def main() -> int:
+def _reference_members(lut_path: Path, job: dict) -> list[dict]:
+    """Per-member ``best_ms``/``curve_ms`` of the job's multi-seed sweep,
+    run uninterrupted in this process over the profiled LUT."""
+    from repro.core import MultiSeedSearch, SearchConfig, seed_range
+    from repro.engine.lut import LatencyTable
+
+    lut = LatencyTable.from_json(lut_path.read_text())
+    config = SearchConfig(episodes=job["episodes"], seed=job["seed"])
+    sweep = MultiSeedSearch(
+        lut, config, seeds=seed_range(job["seed"], job["seeds"])
+    ).run()
+    return [{"best_ms": r.best_ms, "curve_ms": r.curve_ms} for r in sweep.results]
+
+
+def main(argv: list[str] | None = None) -> int:
     """Run the smoke; returns the process exit code."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--seeds",
+        type=int,
+        default=1,
+        help="K > 1 preempts and resumes a K-seed multi-seed sweep",
+    )
+    seeds = parser.parse_args(argv).seeds
+    if seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {seeds}")
+    job = dict(JOB) if seeds == 1 else {**JOB, "kind": "multi-seed", "seeds": seeds}
     with tempfile.TemporaryDirectory(prefix="anytime-smoke-") as tmp:
         tmp_path = Path(tmp)
         serve_args = [
@@ -121,7 +150,7 @@ def main() -> int:
             from repro.runtime.metrics import parse_samples
 
             client = ServiceClient(url, timeout=60)
-            record = client.submit(JOB)[0]
+            record = client.submit(job)[0]
 
             # A live progress event must arrive while the job is still
             # running — emitted from an in-loop checkpoint, not from
@@ -154,7 +183,7 @@ def main() -> int:
             assert "preempted at episode" in final["error"], final["error"]
             print(f"[3/5] DELETE preempted the running job ({final['error']})")
 
-            resumed = client.submit({**JOB, "resume": True})[0]
+            resumed = client.submit({**job, "resume": True})[0]
             assert resumed["id"] != record["id"]
             done = client.wait(resumed["id"], timeout=600)
             assert done["state"] == "done", done
@@ -164,36 +193,56 @@ def main() -> int:
             )
 
             # Bitwise equality with an uninterrupted local run of the
-            # same scenario via the CLI.
+            # same scenario over the same (deterministic) LUT.
             lut_path = tmp_path / "lut.json"
             _repro(
                 "profile",
-                "--network", JOB["network"],
+                "--network", job["network"],
                 "--platform", PLATFORM,
                 "--mode", MODE,
                 "--out", str(lut_path),
             )  # fmt: skip
-            sched_path = tmp_path / "sched.json"
-            _repro(
-                "search",
-                "--lut", str(lut_path),
-                "--episodes", str(JOB["episodes"]),
-                "--seed", str(JOB["seed"]),
-                "--out", str(sched_path),
-            )  # fmt: skip
-            local_best = json.loads(sched_path.read_text())["total_ms"]
-            assert done["best_ms"] == local_best, (
-                f"preempt+resume best_ms {done['best_ms']!r} != local "
-                f"repro search {local_best!r} (must be bitwise-equal)"
-            )
+            if seeds == 1:
+                members = [done["payload"]]
+                sched_path = tmp_path / "sched.json"
+                _repro(
+                    "search",
+                    "--lut", str(lut_path),
+                    "--episodes", str(job["episodes"]),
+                    "--seed", str(job["seed"]),
+                    "--out", str(sched_path),
+                )  # fmt: skip
+                local_best = json.loads(sched_path.read_text())["total_ms"]
+                assert done["best_ms"] == local_best, (
+                    f"preempt+resume best_ms {done['best_ms']!r} != local "
+                    f"repro search {local_best!r} (must be bitwise-equal)"
+                )
+            else:
+                members = done["payload"]["results"]
+                reference = _reference_members(lut_path, job)
+                assert len(members) == len(reference) == seeds, members
+                for s, (got, want) in enumerate(zip(members, reference)):
+                    assert got["best_ms"] == want["best_ms"], (
+                        f"member {s}: preempt+resume best_ms "
+                        f"{got['best_ms']!r} != uninterrupted "
+                        f"{want['best_ms']!r} (must be bitwise-equal)"
+                    )
+                    assert got["curve_ms"] == want["curve_ms"], (
+                        f"member {s}: preempt+resume curve_ms differs from "
+                        "the uninterrupted run"
+                    )
             # The live progress event of the *preempted* run must agree
-            # bitwise with the resumed run's full curve at that episode.
-            curve = done["payload"]["curve_ms"]
-            assert min(curve[: first["episode"]]) == first["best_ms"], (
+            # bitwise with the resumed run's full curves at that episode
+            # (its best_ms is the best across members).
+            seen = min(min(m["curve_ms"][: first["episode"]]) for m in members)
+            assert seen == first["best_ms"], (
                 "resumed curve disagrees with the preempted run's live "
                 f"progress at episode {first['episode']}"
             )
-            print("[5/5] preempt+resume result bitwise-equal to local search")
+            print(
+                f"[5/5] preempt+resume result of {seeds} seed(s) "
+                "bitwise-equal to an uninterrupted run"
+            )
 
             samples = parse_samples(client.metrics())
             written = samples["repro_checkpoints_written_total"][()]
@@ -204,7 +253,7 @@ def main() -> int:
             assert resumed_n == 1, samples.get("repro_jobs_resumed_total")
             # Completion hygiene: the checkpoint row is gone from the
             # store once the resumed job finished.
-            results = client.results(network=JOB["network"])
+            results = client.results(network=job["network"])
             assert len(results) == 1, results
             print(
                 f"metrics ok: written={written:g} preempted={preempted:g} "

@@ -11,7 +11,6 @@ from repro.core.kernels import numba_available, resolve_backend
 from repro.core.multi_seed import MultiSeedResult, MultiSeedSearch, seed_range
 from repro.core.polish import coordinate_descent
 from repro.core.qtable import QTable, QTableFlat
-from repro.core.replay import ReplayBuffer, Transition
 from repro.core.state import SearchState
 from repro.core.result import SearchResult
 from repro.core.search import QSDNNSearch
@@ -27,8 +26,6 @@ __all__ = [
     "seed_range",
     "QTable",
     "QTableFlat",
-    "ReplayBuffer",
-    "Transition",
     "SearchState",
     "SearchResult",
     "QSDNNSearch",

@@ -226,21 +226,6 @@ def _episode(
     )
 
 
-@njit(cache=True)
-def _replay_ring(qstate, num_layers, ring, perm, eq2, fvb):
-    for k in range(perm.shape[0]):
-        t = perm[k]
-        layer = np.int64(ring[t, 0])
-        row = np.int64(ring[t, 1])
-        action = np.int64(ring[t, 2])
-        reward = ring[t, 3]
-        encoded = ring[t, 4]
-        next_row = action if encoded < 0 else np.int64(encoded)
-        _apply_update(
-            qstate, num_layers, layer, row, action, reward, next_row, eq2, fvb
-        )
-
-
 _warmed = False
 
 
@@ -277,7 +262,6 @@ def ensure_warm() -> None:
     ring = tuple(np.zeros(4, dtype=np.int64) for _ in range(4)) + (
         np.zeros(4, dtype=np.float64),
     )
-    ring2d = np.zeros((4, 5), dtype=np.float64)
     perm = np.zeros(1, dtype=np.int64)
     eq2 = (0.05, 0.95, 0.9)
     for fvb in (False, True):
@@ -306,22 +290,10 @@ def ensure_warm() -> None:
         _learn(
             qstate, choices, rows, rewards, eq2, fvb, False, ring, (4, 0, 0), _EMPTY_I64
         )
-        _replay_ring(qstate, 2, ring2d, perm, eq2, fvb)
     _price(pricing, 1, choices, costs)
     qstate[0][:] = 0.0
     qstate[1][:] = 0.0
     _warmed = True
-
-
-def replay_ring(qtable, ring: np.ndarray, perm: np.ndarray) -> None:
-    """Apply a :class:`ReplayBuffer`'s ring rows to ``qtable`` in
-    ``perm`` order — the compiled path of ``ReplayBuffer.replay``."""
-    ensure_warm()
-    flat = qtable.flat()
-    eq2 = (qtable.learning_rate, 1.0 - qtable.learning_rate, qtable.discount)
-    _replay_ring(
-        tuple(flat), len(qtable), ring, perm, eq2, qtable.first_visit_bootstrap
-    )
 
 
 class NumbaRunner:

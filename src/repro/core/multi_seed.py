@@ -1,36 +1,33 @@
-"""Vectorized multi-seed QS-DNN: K independent searches in lockstep.
+"""Multi-seed QS-DNN: K independent searches over one LUT, in lockstep.
 
 Robustness sweeps and portfolio searches run the same
-(network, platform, mode) scenario under many seeds.  Run naively that
-costs K full searches; run in *lockstep* the K searches advance
-episode-by-episode together, sharing one compiled
-:class:`~repro.engine.pricing.CostEngine` and pricing all K rollouts of
-each episode step in a single
-:meth:`~repro.engine.pricing.CostEngine.layer_costs_batch` call instead
-of K scalar ones.  On top of the batched pricing the lockstep loop
+(network, platform, mode) scenario under many seeds.  A sweep's K
+searches advance episode by episode together over one shared
+:class:`~repro.engine.pricing.CostEngine`, and each seed draws its
+episode randomness from the *same* named streams as
+:class:`~repro.core.search.QSDNNSearch` (policy and replay streams,
+identical call sequence).  Exactness is the contract: every member's
+``best_ms``, curve and greedy policy are bit-identical to an
+independent single-seed ``run()`` with that seed (property-tested).
 
-* draws each seed's episode randomness from the *same* named streams as
-  :class:`~repro.core.search.QSDNNSearch` (policy and replay streams,
-  identical call sequence), so every seed's trajectory — and therefore
-  its ``best_ms`` — is bit-identical to an independent single-seed
-  ``run()`` with that seed;
-* vectorizes the decision pass of full-exploration episodes (the first
-  half of the paper's schedule) across layers, skipping the Python
-  per-layer loop entirely;
-* runs each seed's eq. (2) online sweep and replay chain through a
-  per-seed episode kernel (:mod:`repro.core.kernels`): one compiled
-  call per (seed, episode) on the numba backend, the bit-identical
-  pure-Python reference backend otherwise.
+A sweep takes one of three routes:
 
-Exactness is the contract: the lockstep fast path reproduces the exact
-per-seed results of K independent runs (property-tested), it just
-amortizes the work.  Experience replay is an inherently sequential
-per-seed update chain, so replay-enabled configs run the kernel-fused
-path (batched pricing + per-seed kernels) — as does
-``first_visit_bootstrap``, whose visit bookkeeping the kernels carry
-natively; with replay disabled and plain eq. (2) the runner prices and
-learns nearly everything batched across seeds and K=8 seeds cost well
-under half of 8 independent runs.
+* **Shared loop** (the default) — :func:`~repro.core.search.run_lockstep`
+  steps one :class:`~repro.core.search.SeedRun` per seed, the very loop
+  ``QSDNNSearch.run`` runs with one seed, so lockstep == independent
+  holds by construction.  It carries replay, ``first_visit_bootstrap``,
+  warm starts, checkpoints and resume, on either per-seed backend.
+* **Mega** (``kernel="mega"``, or ``"auto"`` with K >=
+  :data:`~repro.core.kernels.MEGA_SEED_THRESHOLD` under numba) — the
+  structure-of-arrays path: one ``numba.prange`` dispatch per episode
+  runs all K seeds (:mod:`repro.core.kernels.mega`).  It exists because
+  large sweeps amortize dispatch and parallelize across cores.
+* **Vectorized** (replay off, plain eq. (2), reference backend, cold,
+  not anytime) — batches the whole learning pass across seeds and
+  layers in numpy.  It exists because without the sequential replay
+  chain the online updates of an episode are order-independent;
+  ``MULTI_SEED_MAX_RATIO`` in ``benchmarks/bench_search_runtime.py``
+  gates its speed against independent runs.
 """
 
 from __future__ import annotations
@@ -43,11 +40,11 @@ import numpy as np
 
 from repro.core import checkpoint as ckpt_mod
 from repro.core.config import SearchConfig
-from repro.core.kernels import make_runner, mega_selected, resolve_backend
+from repro.core.kernels import mega_selected, resolve_backend
 from repro.core.polish import coordinate_descent
 from repro.core.priors import prior_row_max
-from repro.core.qtable import QTable
 from repro.core.result import SearchResult
+from repro.core.search import run_lockstep, warm_prior
 from repro.engine.lut import LatencyTable
 from repro.errors import ConfigError, PreemptedError
 from repro.utils.rng import RngStream
@@ -68,8 +65,9 @@ class MultiSeedResult:
     ``results[i]`` is seed ``seeds[i]``'s :class:`SearchResult`,
     bit-identical to an independent single-seed run; each carries an
     equal share of the total wall clock.  ``batched_pricings`` counts
-    the engine calls the lockstep loop issued (one per episode step,
-    regardless of K).
+    the all-seed pricing dispatches (one per episode, regardless of K)
+    of the mega and vectorized routes; the shared loop prices each seed
+    inside its own episode kernel and reports 0.
     """
 
     results: list[SearchResult]
@@ -111,31 +109,6 @@ class MultiSeedResult:
         )
 
 
-class _SeedState:
-    """Per-seed mutable search state of the lockstep loop."""
-
-    __slots__ = (
-        "seed",
-        "qtable",
-        "runner",
-        "policy_rng",
-        "replay_rng",
-        "best_total",
-        "best_choices",
-        "curve",
-    )
-
-    def __init__(self, seed, qtable, runner, policy_rng, replay_rng):
-        self.seed = seed
-        self.qtable = qtable
-        self.runner = runner
-        self.policy_rng = policy_rng
-        self.replay_rng = replay_rng
-        self.best_total = np.inf
-        self.best_choices = None
-        self.curve: list[float] = []
-
-
 class MultiSeedSearch:
     """K independent QS-DNN searches over one LUT, run in lockstep.
 
@@ -173,257 +146,41 @@ class MultiSeedSearch:
         :meth:`QSDNNSearch.run`, with the whole lockstep sweep captured
         in one checkpoint (one snapshot per seed).
         """
+        cfg = self.config
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ConfigError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
         anytime = bool(checkpoint_every and on_checkpoint) or resume is not None
-        # Warm start: resolve the prior once per sweep — every seed
-        # loads the same block, exactly what its independent
-        # single-seed run would load (lockstep == independent).  A
-        # resumed sweep never re-applies priors: the snapshots' Q
-        # blocks already carry them.
-        prior_values = None
-        if (
-            resume is None
-            and self.config.warm_start != "off"
-            and self.prior is not None
-        ):
-            prior_values = self.prior.prior_for(
-                self.lut, self.config.discount
-            )
-        if mega_selected(self.config.kernel, len(self.seeds)):
-            # The structure-of-arrays path: one prange dispatch per
-            # episode runs all K seeds (explicit --kernel mega, or
-            # auto with K >= MEGA_SEED_THRESHOLD under numba).
+        # Resolved once per sweep: every seed loads the same block,
+        # exactly what its independent single-seed run would load.
+        prior_values = warm_prior(self.prior, self.lut, cfg, resume)
+        if mega_selected(cfg.kernel, len(self.seeds)):
             return self._run_mega(
                 checkpoint_every, on_checkpoint, resume, prior_values
             )
-        if (
-            self.config.replay_enabled
-            or self.config.first_visit_bootstrap
-            or resolve_backend(self.config.kernel) == "numba"
+        # The vectorized route batches eq. (2) across seeds, which holds
+        # only without the replay chain and visit bookkeeping; it keeps
+        # no checkpointable or prior-loaded state, and under numba the
+        # compiled per-seed kernels beat it on every config.
+        if not (
+            cfg.replay_enabled
+            or cfg.first_visit_bootstrap
+            or resolve_backend(cfg.kernel) == "numba"
             or anytime
             or prior_values is not None
         ):
-            # Replay is a sequential per-seed update chain (each replayed
-            # transition bootstraps from the chain so far) and the
-            # first-visit bootstrap tracks per-entry visit state — both
-            # run per-seed episode kernels behind one batched pricing
-            # call per episode.  With the numba backend the compiled
-            # kernels beat numpy seed-batching on every config, so all
-            # configs route through them.  Anytime runs (checkpointing
-            # or resuming) also route here: the fused path is bitwise
-            # equal to the vectorized one (the existing exactness
-            # contract) and its per-seed runners carry the canonical
-            # checkpoint state.  Warm-started runs route here too —
-            # the per-seed QTables take the prior block directly.
-            return self._run_lockstep_fused(
-                checkpoint_every, on_checkpoint, resume, prior_values
-            )
-        return self._run_lockstep_vectorized()
-
-    # -- the lockstep kernel-fused path (replay on / first-visit) ------------
-
-    def _run_lockstep_fused(
-        self,
-        checkpoint_every: int | None = None,
-        on_checkpoint=None,
-        resume: dict | None = None,
-        prior_values: np.ndarray | None = None,
-    ) -> MultiSeedResult:
-        cfg = self.config
-        idx = self.indexed
-        engine = self.engine
-        num_layers = len(idx)
-        action_counts = np.asarray(idx.num_actions, dtype=np.int64)
-        q_parent = idx.q_parent
-        row_sizes = [
-            1 if parent < 0 else int(idx.num_actions[parent])
-            for parent in q_parent
-        ]
-        backend = resolve_backend(cfg.kernel)
-        if resume is not None:
-            ckpt_mod.check_resume(
-                resume,
-                kind="multi-seed",
-                graph=self.lut.graph_name,
-                mode=self.lut.mode,
-                episodes=cfg.episodes,
-                seeds=self.seeds,
-                warm_start=cfg.warm_start,
-            )
-
-        states: list[_SeedState] = []
-        for s, seed in enumerate(self.seeds):
-            stream = RngStream(seed, "qsdnn", self.lut.graph_name, self.lut.mode)
-            qtable = QTable(
-                list(idx.num_actions),
-                cfg.learning_rate,
-                cfg.discount,
-                row_sizes=row_sizes,
-                first_visit_bootstrap=cfg.first_visit_bootstrap,
-            )
-            if resume is not None:
-                # Before make_runner: the reference backend mirrors the
-                # flat arrays at construction.
-                ckpt_mod.restore_seed_arrays(resume["seeds"][s], qtable)
-            elif prior_values is not None:
-                # Same ordering constraint as resume: load before the
-                # runner mirrors the flat arrays.
-                qtable.load_prior(prior_values)
-            state = _SeedState(
-                seed,
-                qtable,
-                make_runner(
-                    engine,
-                    qtable,
-                    q_parent,
-                    replay_enabled=cfg.replay_enabled,
-                    replay_capacity=cfg.replay_capacity,
-                    backend=backend,
-                ),
-                stream.child("policy"),
-                stream.child("replay"),
-            )
-            if resume is not None:
-                snap = resume["seeds"][s]
-                state.runner.import_ring(snap["ring"])
-                ckpt_mod.set_rng_state(state.policy_rng, snap["policy_rng"])
-                ckpt_mod.set_rng_state(state.replay_rng, snap["replay_rng"])
-                state.best_total = snap["best_total"]
-                state.best_choices = snap["best_choices"]
-                state.curve = list(snap["curve"])
-            states.append(state)
-
-        shaping = cfg.reward_shaping
-        track_curve = cfg.track_curve
-        epsilon_for = cfg.epsilon.epsilon_for
-        num_seeds = len(states)
-
-        batch = np.empty((num_seeds, num_layers), dtype=np.int64)
-        epsilon_trace: list[float] = []
-        batched_pricings = 0
-        start_episode = 0
-        elapsed_s = 0.0
-        if resume is not None:
-            epsilon_trace = list(resume["epsilon_trace"])
-            start_episode = int(resume["episode"])
-            elapsed_s = float(resume.get("elapsed_s", 0.0))
-        started = time.perf_counter()
-
-        for episode in range(start_episode, cfg.episodes):
-            epsilon = epsilon_for(episode)
-            # -- decision pass (per seed, same RNG calls as QSDNNSearch)
-            full_explore = epsilon >= 1.0
-            full_exploit = epsilon <= 0.0
-            for s, state in enumerate(states):
-                if full_explore:
-                    explore = None
-                    explored = state.policy_rng.integers(0, action_counts)
-                elif full_exploit:
-                    explore = None
-                    explored = None
-                else:
-                    rng = state.policy_rng
-                    explore = rng.random(num_layers) < epsilon
-                    explored = rng.integers(0, action_counts)
-                state.runner.rollout(explore, explored)
-                batch[s] = state.runner.choices
-            # -- pricing pass: all K rollouts in one engine call
-            costs = engine.layer_costs_batch(batch, checked=False)
-            totals = costs.sum(axis=1).tolist()
-            rewards_batch = -costs if shaping else None
-            batched_pricings += 1
-            # -- learning pass: one fused kernel call per seed
-            for s, state in enumerate(states):
-                total = totals[s]
-                if rewards_batch is not None:
-                    rewards = rewards_batch[s]
-                else:
-                    rewards = np.zeros(num_layers, dtype=np.float64)
-                    rewards[num_layers - 1] = -total
-                perm = state.runner.draw_replay_order(state.replay_rng)
-                state.runner.learn(rewards, perm)
-                if total < state.best_total:
-                    state.best_total = total
-                    state.best_choices = state.runner.snapshot()
-                if track_curve:
-                    state.curve.append(total)
-            if track_curve:
-                epsilon_trace.append(epsilon)
-            # -- anytime checkpoint (episode boundary; draws no RNG)
-            if (
-                checkpoint_every
-                and on_checkpoint is not None
-                and (episode + 1) % checkpoint_every == 0
-                and episode + 1 < cfg.episodes
-            ):
-                snapshot = ckpt_mod.build_checkpoint(
-                    kind="multi-seed",
-                    graph=self.lut.graph_name,
-                    mode=self.lut.mode,
-                    episodes=cfg.episodes,
-                    episode=episode + 1,
-                    kernel=cfg.kernel,
-                    elapsed_s=elapsed_s + (time.perf_counter() - started),
-                    epsilon_trace=epsilon_trace,
-                    warm_start=cfg.warm_start,
-                    seed_snaps=[
-                        ckpt_mod.seed_snapshot(
-                            state.seed,
-                            state.qtable,
-                            state.runner,
-                            state.policy_rng,
-                            state.replay_rng,
-                            state.best_total,
-                            state.best_choices,
-                            state.curve,
-                        )
-                        for state in states
-                    ],
-                )
-                if on_checkpoint(snapshot) is False:
-                    raise PreemptedError(snapshot)
-
-        # -- per-seed finalization (polish, greedy policy, packaging)
-        results = []
-        for state in states:
-            state.runner.finalize()
-            assert state.best_choices is not None
-            best_choices = np.asarray(state.best_choices, dtype=np.int64)
-            best_total = state.best_total
-            if cfg.polish_sweeps > 0:
-                best_choices, best_total = coordinate_descent(
-                    engine, best_choices, max_sweeps=cfg.polish_sweeps
-                )
-            greedy_ms = engine.price(
-                state.qtable.greedy_rollout(parents=q_parent)
-            )
-            results.append(
-                SearchResult(
-                    graph_name=self.lut.graph_name,
-                    method="qs-dnn",
-                    best_assignments=engine.assignments(best_choices),
-                    best_ms=float(best_total),
-                    episodes=cfg.episodes,
-                    curve_ms=state.curve,
-                    epsilon_trace=list(epsilon_trace) if track_curve else [],
-                    config=replace(cfg, seed=state.seed),
-                    greedy_ms=float(greedy_ms),
-                    kernel_backend=backend,
-                    warm_start=cfg.warm_start,
-                )
-            )
-        wall = elapsed_s + (time.perf_counter() - started)
-        for result in results:
-            result.wall_clock_s = wall / num_seeds
-        return MultiSeedResult(
-            results=results,
-            wall_clock_s=wall,
-            batched_pricings=batched_pricings,
-            lockstep=True,
+            return self._run_lockstep_vectorized()
+        results, wall = run_lockstep(
+            self.lut,
+            [replace(cfg, seed=seed) for seed in self.seeds],
+            kind="multi-seed",
+            prior_values=prior_values,
+            checkpoint_every=checkpoint_every,
+            on_checkpoint=on_checkpoint,
+            resume=resume,
         )
+        return MultiSeedResult(results=results, wall_clock_s=wall)
 
     # -- the mega SoA path (K seeds per kernel dispatch) --------------------
 

@@ -563,6 +563,7 @@ class CampaignService:
             "Latency of result-store flush/commit transactions.",
             buckets=(0.0005, 0.001, 0.005, 0.01, 0.05, 0.25, 1.0),
         )
+        self.store.on_commit = self._h_flush.observe
         m.gauge(
             "repro_service_info",
             "Constant 1, labelled with the service version.",
@@ -1408,7 +1409,7 @@ class CampaignService:
         persist_note = None
         if successes:
             try:
-                _, flush_s = self.store.put_many(
+                self.store.put_many(
                     [
                         (record.job, result.payload, result.wall_clock_s)
                         for record, result in successes
@@ -1419,8 +1420,6 @@ class CampaignService:
                 persist_note = (
                     f"result not persisted — {type(exc).__name__}: {exc}"
                 )
-            else:
-                self._h_flush.observe(flush_s)
         for record, result in successes:
             self._finish_record(
                 record, info, result, None, persist=False, finish_lease=False
@@ -1511,12 +1510,9 @@ class CampaignService:
             self._release_job(record, "lease expired", worker=lease.worker)
 
     def _flush_store(self) -> None:
-        """Flush the store's group-commit buffer, feeding the
-        flush-latency histogram (no-op when the buffer is empty)."""
-        if self.store.pending:
-            rows, elapsed = self.store.flush_timed()
-            if rows:
-                self._h_flush.observe(elapsed)
+        """Flush the store's group-commit buffer (every commit feeds
+        the flush-latency histogram through ``store.on_commit``)."""
+        self.store.flush()
 
     async def _reap_leases(self) -> None:
         """Periodically expire overdue leases and requeue their jobs.

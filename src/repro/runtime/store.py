@@ -392,9 +392,12 @@ class ResultStore:
         #: wins, matching INSERT OR REPLACE semantics).
         self._buffer: dict[str, tuple] = {}
         #: Flush statistics: transactions flushed, rows they carried,
-        #: and total seconds spent committing (the benchmark and the
-        #: ``repro_store_flush_seconds`` histogram read these).
+        #: and total seconds spent committing (the benchmark reads these).
         self.flush_stats = {"flushes": 0, "rows": 0, "total_s": 0.0}
+        #: Called with the latency (s) of every results commit, under
+        #: the store lock — the service points it at its
+        #: ``repro_store_flush_seconds`` histogram.
+        self.on_commit = None
         self.wal = bool(wal) and self.path != ":memory:"
         with self._lock:
             if self.wal:
@@ -438,8 +441,7 @@ class ResultStore:
 
     def _flush_locked(self) -> tuple[int, float]:
         """Commit every buffered row (caller holds the lock); returns
-        ``(rows, elapsed_s)`` for THIS commit — callers feeding latency
-        histograms must use this value, not a delta of the shared
+        ``(rows, elapsed_s)`` for THIS commit, not a delta of the shared
         ``flush_stats`` accumulator (which other threads advance too).
         """
         if not self._buffer:
@@ -450,21 +452,21 @@ class ResultStore:
         self._conn.commit()
         elapsed = time.perf_counter() - started
         self._buffer.clear()
-        self.flush_stats["flushes"] += 1
-        self.flush_stats["rows"] += len(rows)
-        self.flush_stats["total_s"] += elapsed
+        self._count_commit(len(rows), elapsed)
         return len(rows), elapsed
+
+    def _count_commit(self, rows: int, elapsed: float) -> None:
+        """Account one results commit (caller holds the lock)."""
+        self.flush_stats["flushes"] += 1
+        self.flush_stats["rows"] += rows
+        self.flush_stats["total_s"] += elapsed
+        if self.on_commit is not None:
+            self.on_commit(elapsed)
 
     def flush(self) -> int:
         """Commit buffered group-commit rows; returns how many landed."""
-        return self.flush_timed()[0]
-
-    def flush_timed(self) -> tuple[int, float]:
-        """Like :meth:`flush`, but returns ``(rows, elapsed_s)`` — the
-        commit latency of exactly this call (the service feeds it into
-        the flush-latency histogram)."""
         with self._lock:
-            return self._flush_locked()
+            return self._flush_locked()[0]
 
     @property
     def pending(self) -> int:
@@ -490,9 +492,7 @@ class ResultStore:
                 started = time.perf_counter()
                 self._conn.execute(self._INSERT_SQL, row)
                 self._conn.commit()
-                self.flush_stats["flushes"] += 1
-                self.flush_stats["rows"] += 1
-                self.flush_stats["total_s"] += time.perf_counter() - started
+                self._count_commit(1, time.perf_counter() - started)
         return key
 
     def put_many(

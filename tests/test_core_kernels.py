@@ -11,8 +11,8 @@ Three layers of evidence:
   vectors across backends, property-tested on branchy zoo networks
   (googlenet, resnet50) with replay on/off and
   ``first_visit_bootstrap`` both ways;
-* the :class:`ReplayBuffer` ring replays exactly like per-transition
-  ``QTable.update`` calls in ``rng.permutation`` order.
+* the reference runner's replay ring replays exactly like
+  per-transition ``QTable.update`` calls in ``rng.permutation`` order.
 
 Without numba installed the cross-backend cases reduce to the
 reference backend (the numba side is exercised by the CI matrix leg
@@ -30,13 +30,12 @@ from repro import Mode, jetson_tx2
 from repro.core import (
     QSDNNSearch,
     QTable,
-    ReplayBuffer,
     SearchConfig,
-    Transition,
     numba_available,
     resolve_backend,
 )
 from repro.core.kernels import ENV_VAR
+from repro.core.search import SeedRun
 from repro.engine import InferenceEngineOptimizer
 from repro.errors import ConfigError
 from repro.utils.rng import RngStream, derive_rng
@@ -367,67 +366,64 @@ class TestNumbaSearchEndToEnd:
             assert nb.kernel_backend == "numba"
 
 
-# -- replay buffer ring ------------------------------------------------------
+# -- replay ring -------------------------------------------------------------
+
+
+def _reference_run(lut, **overrides):
+    """A fresh reference-backend :class:`SeedRun` with replay on."""
+    return SeedRun(lut, SearchConfig(episodes=20, kernel="reference", **overrides))
 
 
 class TestReplayRing:
     def test_sample_order_matches_permutation_stream(self):
-        buf = ReplayBuffer(capacity=16)
-        for i in range(10):
-            buf.push(Transition(0, 0, i % 2, -float(i)))
+        runner = _reference_run(
+            synthetic_chain_lut(4, 3, seed=0), replay_capacity=16
+        ).runner
+        explored = np.zeros(4, dtype=np.int64)
+        fill_rng = derive_rng(0, "fill")
+        for _ in range(2):
+            runner.episode(None, explored, runner.draw_replay_order(fill_rng))
         a = derive_rng(42, "replay")
         b = derive_rng(42, "replay")
-        order = buf.sample_order(a)
-        assert order.tolist() == b.permutation(10).tolist()
+        # 8 rows stored plus this episode's 4 pushes.
+        order = runner.draw_replay_order(a)
+        assert order.tolist() == b.permutation(12).tolist()
         # The generators stay in lockstep afterwards.
         assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
 
     def test_replay_equals_per_transition_updates(self):
-        transitions = [
-            Transition(0, 0, 1, -2.5, 1),
-            Transition(1, 1, 0, -1.25, 0),
-            Transition(0, 0, 0, -0.5, None),
-            Transition(1, 0, 1, -3.0, 1),
-        ]
-        buf = ReplayBuffer(capacity=8)
-        for t in transitions:
-            buf.push(t)
-        applied = QTable([2, 2], learning_rate=0.05, discount=0.9)
-        buf.replay(applied, derive_rng(9, "r"))
-        manual = QTable([2, 2], learning_rate=0.05, discount=0.9)
-        for pick in derive_rng(9, "r").permutation(len(transitions)).tolist():
-            manual.update(*transitions[pick])
-        assert np.array_equal(applied.flat().data, manual.flat().data)
-        assert np.array_equal(applied.flat().row_max, manual.flat().row_max)
+        run = _reference_run(synthetic_chain_lut(3, 2, seed=4), replay_capacity=8)
+        runner = run.runner
+        manual = run.qtable.copy()
+        applied_rng = derive_rng(9, "r")
+        manual_rng = derive_rng(9, "r")
+        items = []
+        for picks in ([1, 0, 1], [0, 1, 1]):
+            explored = np.asarray(picks, dtype=np.int64)
+            perm = runner.draw_replay_order(applied_rng)
+            costs = runner.rollout_price(None, explored)
+            runner.learn(-costs, perm)
+            rows = [0] + picks[:-1]
+            for i in range(3):
+                next_row = picks[i] if i < 2 else 0
+                item = (i, rows[i], picks[i], float(-costs[i]), next_row)
+                manual.update(*item)
+                items.append(item)
+            for pick in manual_rng.permutation(len(items)).tolist():
+                manual.update(*items[pick])
+        runner.finalize()
+        assert np.array_equal(run.qtable.flat().data, manual.flat().data)
+        assert np.array_equal(run.qtable.flat().row_max, manual.flat().row_max)
 
     def test_ring_overwrites_oldest_first(self):
-        buf = ReplayBuffer(capacity=3)
-        for i in range(5):
-            buf.push(Transition(0, 0, 0, -float(i)))
-        rewards = sorted(t.reward for t in buf.transitions())
-        assert rewards == [-4.0, -3.0, -2.0]
-
-    @needs_numba
-    def test_numba_replay_matches_scalar(self, monkeypatch):
-        rng_seed = 123
-        transitions = [
-            Transition(i % 3, 0, i % 2, -float(i + 1), i % 2)
-            for i in range(20)
-        ]
-
-        def run(backend):
-            monkeypatch.setenv(ENV_VAR, backend)
-            q = QTable([2, 2, 2], learning_rate=0.05, discount=0.9)
-            buf = ReplayBuffer(capacity=16)
-            for t in transitions:
-                buf.push(t)
-            buf.replay(q, derive_rng(rng_seed, "r"))
-            return q
-
-        scalar = run("reference")
-        compiled = run("numba")
-        assert np.array_equal(scalar.flat().data, compiled.flat().data)
-        assert np.array_equal(scalar.flat().row_max, compiled.flat().row_max)
+        run = _reference_run(synthetic_chain_lut(1, 4, seed=2), replay_capacity=3)
+        for _ in range(5):
+            run.step(1.0)
+        ring = run.runner.export_ring()
+        assert ring["fill"] == 3
+        assert ring["pos"] == 5 % 3
+        rewards = sorted(row[4] for row in ring["rows"])
+        assert rewards == sorted(-total for total in run.curve[-3:])
 
 
 # -- backend selection surface ----------------------------------------------

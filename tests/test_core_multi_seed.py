@@ -1,6 +1,6 @@
 """The lockstep multi-seed runner: exactness is the contract.
 
-Every fast path (vectorized, fused-replay, sequential fallback) must
+Every route (vectorized, the shared per-seed loop, mega) must
 reproduce the per-seed results of independent single-seed
 :class:`QSDNNSearch` runs bit-for-bit — ``best_ms``, the whole episode
 curve, the final greedy policy.  The Hypothesis test sweeps synthetic
@@ -65,6 +65,7 @@ class TestExactnessProperty:
             episodes=data.draw(st.sampled_from([12, 40, 90]), label="episodes"),
             replay_enabled=data.draw(st.booleans(), label="replay"),
             reward_shaping=data.draw(st.booleans(), label="shaping"),
+            first_visit_bootstrap=data.draw(st.booleans(), label="fvb"),
             polish_sweeps=data.draw(st.sampled_from([0, 2]), label="polish"),
         )
         _assert_members_match_singles(lut, config, seed_range(base, count))
@@ -88,13 +89,12 @@ class TestExactnessOnRealLuts:
 
     def test_first_visit_bootstrap_runs_lockstep(self, toy_lut_gpgpu):
         """The episode kernels carry visit bookkeeping natively, so
-        first-visit configs lockstep too (one pricing per episode)."""
+        first-visit configs lockstep too (the shared per-seed loop)."""
         config = SearchConfig(episodes=60, first_visit_bootstrap=True)
         sweep = _assert_members_match_singles(
             toy_lut_gpgpu, config, seed_range(0, 2)
         )
         assert sweep.lockstep
-        assert sweep.batched_pricings == 60
 
 
 class TestRunnerSurface:

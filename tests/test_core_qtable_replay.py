@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
+from repro.core.config import SearchConfig
 from repro.core.qtable import QTable
-from repro.core.replay import ReplayBuffer, Transition
+from repro.core.search import SeedRun
 from repro.errors import SearchError
-from repro.utils.rng import derive_rng
+from tests.helpers import synthetic_chain_lut
 
 
 class TestQTableUpdate:
@@ -136,55 +136,28 @@ class TestQTableValidation:
 
 
 class TestReplayBuffer:
+    """The paper's experience replay (§IV-C), as a search run carries it."""
+
+    @staticmethod
+    def _run(num_layers, capacity):
+        lut = synthetic_chain_lut(num_layers, 3, seed=1)
+        return SeedRun(
+            lut,
+            SearchConfig(episodes=20, replay_capacity=capacity, kernel="reference"),
+        )
+
     def test_push_and_len(self):
-        buf = ReplayBuffer(capacity=4)
-        for i in range(3):
-            buf.push(Transition(0, 0, 0, float(-i)))
-        assert len(buf) == 3
+        run = self._run(num_layers=3, capacity=4)
+        run.step(1.0)
+        assert run.runner.export_ring()["fill"] == 3
 
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=2)
-        buf.push(Transition(0, 0, 0, -1.0))
-        buf.push(Transition(0, 0, 1, -2.0))
-        buf.push(Transition(0, 0, 0, -3.0))  # evicts the first
-        assert len(buf) == 2
-        rewards = {t.reward for t in buf.transitions()}
-        assert rewards == {-2.0, -3.0}
-
-    def test_replay_applies_all(self):
-        buf = ReplayBuffer(capacity=8)
-        q = QTable([2, 2], learning_rate=0.1, discount=0.9)
-        for _ in range(5):
-            buf.push(Transition(0, 0, 1, -1.0))
-        applied = buf.replay(q, derive_rng(0, "r"))
-        assert applied == 5
-        assert q.q_values(0, 0)[1] < 0
-
-    def test_replay_empty_is_noop(self):
-        buf = ReplayBuffer()
-        q = QTable([2], learning_rate=0.1, discount=0.9)
-        assert buf.replay(q, derive_rng(0, "r")) == 0
+        run = self._run(num_layers=1, capacity=2)
+        for _ in range(3):
+            run.step(1.0)  # the third episode evicts the first
+        ring = run.runner.export_ring()
+        assert ring["fill"] == 2
+        assert {row[4] for row in ring["rows"]} == {-t for t in run.curve[1:]}
 
     def test_default_capacity_is_paper_128(self):
-        assert ReplayBuffer().capacity == 128
-
-    def test_clear(self):
-        buf = ReplayBuffer(capacity=2)
-        buf.push(Transition(0, 0, 0, -1.0))
-        buf.clear()
-        assert len(buf) == 0
-
-    def test_bad_capacity(self):
-        with pytest.raises(SearchError):
-            ReplayBuffer(capacity=0)
-
-    def test_replay_moves_q_toward_reward(self):
-        buf = ReplayBuffer(capacity=128)
-        q = QTable([2], learning_rate=0.05, discount=0.9)
-        for _ in range(128):
-            buf.push(Transition(0, 0, 0, -10.0))
-        buf.replay(q, derive_rng(1, "r"))
-        # After 128 replays of the same reward, Q approaches -10.
-        assert q.q_values(0, 0)[0] == pytest.approx(
-            -10.0 * (1 - (1 - 0.05) ** 128), rel=1e-6
-        )
+        assert SearchConfig().replay_capacity == 128

@@ -22,6 +22,7 @@ from repro.core.search import QSDNNSearch
 from repro.errors import ConfigError, QueueFullError, ServiceError
 from repro.runtime.campaign import CampaignJob, load_or_profile_lut
 from repro.runtime.client import ServiceClient
+from repro.runtime.metrics import parse_samples
 from repro.runtime.service import (
     CampaignService,
     checkpoints_of,
@@ -276,6 +277,29 @@ class TestBackPressure:
             live.client.wait(record["id"], timeout=120)
             with pytest.raises(ServiceError, match="409"):
                 live.client.cancel(record["id"])
+
+
+class TestStoreFlushMetric:
+    @pytest.mark.parametrize("group_commit", [0, 2])
+    def test_every_commit_feeds_the_flush_histogram(self, group_commit):
+        """Inline commits (group_commit=0) and buffer-full flushes both
+        land in ``repro_store_flush_seconds``, one sample per commit."""
+        with LiveService(workers=2, store_group_commit=group_commit) as live:
+            records = [
+                live.client.submit(_toy_body(episodes=40, seed=seed))[0]
+                for seed in range(3)
+            ]
+            for record in records:
+                live.client.wait(record["id"], timeout=120)
+            # Commits show on /metrics while the service runs...
+            samples = parse_samples(live.client.metrics())
+            scraped = samples["repro_store_flush_seconds_count"][()]
+            assert scraped >= 1
+        # ...and after shutdown (whose final flush is the last commit)
+        # the histogram holds exactly one sample per commit.
+        flushes = live.service.store.flush_stats["flushes"]
+        histogram = live.service.metrics.histogram("repro_store_flush_seconds")
+        assert histogram.value() == flushes >= scraped
 
 
 class TestShutdown:
