@@ -10,6 +10,11 @@ comparisons between revisions) can diff it.
 ``scripts/check_bench_regression.py`` gates CI on the recorded wall
 clocks and multi-seed ratios.
 
+The profile bench records the other stage of a ``repro search`` run:
+the wall clock of one cold ``Profiler.profile`` (paper §V-A, every
+board pass of the inference phase) per network, so the artifact holds
+the profile → search stage split.
+
 The kernel bench measures the compiled episode kernels
 (:mod:`repro.core.kernels`): the same replay-on search run on the
 pure-Python reference backend and the numba backend, which must be
@@ -35,6 +40,7 @@ import pytest
 
 from repro import Mode, __version__
 from repro.analysis._cache import cached_lut
+from repro.backends import gpgpu_space
 from repro.core import (
     MultiSeedSearch,
     QSDNNSearch,
@@ -43,6 +49,8 @@ from repro.core import (
     resolve_backend,
     seed_range,
 )
+from repro.engine import Profiler
+from repro.zoo import build_network
 
 from benchmarks.conftest import EPISODES, SEED
 
@@ -91,10 +99,15 @@ WARM_MAX_RATIO = 0.5
 #: Machine-readable artifact consumed by CI and revision comparisons.
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_search.json"
 #: Artifact layout version (validated by the CI artifact check).
-#: v4 added the ``mega_batch`` section; v5 the ``warm_start`` section.
-BENCH_SCHEMA_VERSION = 5
+#: v4 added the ``mega_batch`` section; v5 the ``warm_start`` section;
+#: v6 the ``profile_wall_clock_s`` section.
+BENCH_SCHEMA_VERSION = 6
+
+#: Fresh profiles per network; the recorded wall is the fastest.
+PROFILE_ROUNDS = 3
 
 _wall_clocks: dict[str, float] = {}
+_profile_wall_clocks: dict[str, float] = {}
 _episodes_per_s: dict[str, float] = {}
 _best_ms: dict[str, float] = {}
 _multi_seed: dict[str, dict[str, float]] = {}
@@ -117,6 +130,25 @@ def test_search_wall_clock(benchmark, network, tx2):
     _best_ms[network] = result.best_ms
     # Paper bound: well under 10 minutes per search.
     assert result.wall_clock_s < 600.0
+
+
+@pytest.mark.parametrize("network", NETWORKS)
+def test_profile_wall_clock(network, tx2):
+    """Cold inference phase: one ``Profiler.profile`` per round.
+
+    Each round profiles through a freshly built design space, so no
+    round reuses another's work; the profiled LUT must be the one the
+    search benches run on.
+    """
+    graph = build_network(network)
+    walls = []
+    for _ in range(PROFILE_ROUNDS):
+        profiler = Profiler(graph, gpgpu_space(tx2), tx2, seed=SEED)
+        started = time.perf_counter()
+        lut, _report = profiler.profile()
+        walls.append(time.perf_counter() - started)
+    assert lut.to_json() == cached_lut(network, Mode.GPGPU, tx2, seed=SEED).to_json()
+    _profile_wall_clocks[network] = min(walls)
 
 
 @pytest.mark.parametrize("network", KERNEL_NETWORKS)
@@ -387,6 +419,7 @@ def test_search_runtime_summary(benchmark, emit, tx2):
         table = AsciiTable(
             [
                 "network",
+                "profile (s)",
                 f"{EPISODES}-episode search (s)",
                 "eps/s",
                 "8-seed lockstep",
@@ -400,8 +433,10 @@ def test_search_runtime_summary(benchmark, emit, tx2):
                 sweep = _multi_seed.get(network)
                 mega = _mega_batch.get(network)
                 kernel = _kernel_speedup.get(network)
+                profile = _profile_wall_clocks.get(network)
                 table.add_row([
                     network,
+                    f"{profile:.3f}" if profile is not None else "-",
                     f"{_wall_clocks[network]:.2f}",
                     f"{_episodes_per_s[network]:,.0f}",
                     f"{sweep['ratio']:.2f}x" if sweep else "-",
@@ -431,6 +466,7 @@ def test_search_runtime_summary(benchmark, emit, tx2):
             "speedup": {},
         },
         "search_wall_clock_s": {},
+        "profile_wall_clock_s": {},
         "episodes_per_s": {},
         "best_ms": {},
         "multi_seed": {},
@@ -453,8 +489,8 @@ def test_search_runtime_summary(benchmark, emit, tx2):
             and previous_backend == payload["kernel"]["backend"]
         )
         if not mergeable and not any(
-            (_wall_clocks, _multi_seed, _kernel_speedup, _mega_batch,
-             _warm_start)
+            (_wall_clocks, _profile_wall_clocks, _multi_seed,
+             _kernel_speedup, _mega_batch, _warm_start)
         ):
             # Nothing measured and nothing mergeable: overwriting the
             # existing artifact would replace real data (a different
@@ -463,6 +499,9 @@ def test_search_runtime_summary(benchmark, emit, tx2):
         if mergeable:
             payload["search_wall_clock_s"] = dict(
                 previous.get("search_wall_clock_s", {})
+            )
+            payload["profile_wall_clock_s"] = dict(
+                previous.get("profile_wall_clock_s", {})
             )
             payload["episodes_per_s"] = dict(previous.get("episodes_per_s", {}))
             payload["best_ms"] = dict(previous.get("best_ms", {}))
@@ -475,6 +514,7 @@ def test_search_runtime_summary(benchmark, emit, tx2):
                     kernel_prev.get("speedup", {})
                 )
     payload["search_wall_clock_s"].update(_wall_clocks)
+    payload["profile_wall_clock_s"].update(_profile_wall_clocks)
     payload["episodes_per_s"].update(_episodes_per_s)
     payload["best_ms"].update(_best_ms)
     payload["multi_seed"].update(_multi_seed)

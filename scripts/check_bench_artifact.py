@@ -39,6 +39,11 @@ MIN_SCHEMA_VERSION = 4
 #: are not required to carry it.
 WARM_SCHEMA_VERSION = 5
 
+#: Schema that introduced the ``profile_wall_clock_s`` section (the
+#: cold inference-phase wall per network); older artifacts are not
+#: required to carry it.
+PROFILE_SCHEMA_VERSION = 6
+
 #: Fraction of the cold episode budget a warm-started run may spend to
 #: match the cold best (the warm-start subsystem's acceptance bar).
 WARM_MAX_RATIO = 0.5
@@ -102,6 +107,17 @@ def _check_warm_entry(name: str, entry) -> list[str]:
     return problems
 
 
+def _check_profile_clocks(clocks) -> list[str]:
+    """Violations in the ``profile_wall_clock_s`` section."""
+    if not isinstance(clocks, dict) or not clocks:
+        return ["no profile wall clocks recorded (profile_wall_clock_s)"]
+    return [
+        f"profile_wall_clock_s.{name} must be a positive number"
+        for name in sorted(clocks)
+        if not isinstance(clocks[name], (int, float)) or not clocks[name] > 0
+    ]
+
+
 def check_artifact(payload: dict) -> list[str]:
     """Every schema violation in one parsed artifact (empty = valid)."""
     problems: list[str] = []
@@ -132,6 +148,8 @@ def check_artifact(payload: dict) -> list[str]:
         else:
             for name in sorted(warm):
                 problems += _check_warm_entry(name, warm[name])
+    if payload.get("schema_version", 0) >= PROFILE_SCHEMA_VERSION:
+        problems += _check_profile_clocks(payload.get("profile_wall_clock_s"))
     kernel = payload.get("kernel")
     if not isinstance(kernel, dict):
         problems.append("bench artifact missing kernel section")

@@ -3,9 +3,11 @@
 
 Compares the freshly generated ``BENCH_search.json`` against the
 baseline committed in the repository (snapshotted before the bench
-runs) and exits non-zero if any ``search_wall_clock_s`` entry got more
-than ``--threshold`` times slower, or any ``multi_seed`` amortization
-``ratio`` grew by more than the same factor.  Entries measured below
+runs) and exits non-zero if any ``search_wall_clock_s`` or
+``profile_wall_clock_s`` entry got more than ``--threshold`` times
+slower, or any ``multi_seed`` amortization ``ratio`` grew by more than
+the same factor.  Profile wall clocks are gated only when the baseline
+has them (schema >= 6).  Entries measured below
 ``--min-seconds`` on both sides are ignored (for ratios: the
 underlying multi-seed wall clocks): at sub-50ms scales shared CI
 runners produce ratios that say more about the neighbor's workload
@@ -67,6 +69,15 @@ def wall_clocks_of(payload: dict, path: Path) -> dict[str, float]:
 def load_wall_clocks(path: Path) -> dict[str, float]:
     """The ``search_wall_clock_s`` mapping, straight from disk."""
     return wall_clocks_of(load_payload(path), path)
+
+
+def profile_clocks_of(payload: dict) -> dict[str, float]:
+    """The ``profile_wall_clock_s`` mapping; empty when the artifact
+    predates it (schema < 6), so such a baseline gates nothing."""
+    clocks = payload.get("profile_wall_clock_s")
+    if not isinstance(clocks, dict):
+        return {}
+    return {str(key): float(value) for key, value in clocks.items()}
 
 
 def backend_of(payload: dict) -> str:
@@ -320,6 +331,20 @@ def main(argv: list[str] | None = None) -> int:
         ratio = now / base if base > 0 else float("inf")
         print(f"  {network}: baseline {base:.3f}s, current {now:.3f}s ({ratio:.2f}x)")
     failures = check(baseline, current, args.threshold, args.min_seconds)
+
+    base_profile = profile_clocks_of(base_payload)
+    cur_profile = profile_clocks_of(cur_payload)
+    if not base_profile:
+        print("  profile_wall_clock_s: not in the baseline, not gated")
+    for network in sorted(set(base_profile) & set(cur_profile)):
+        print(
+            f"  {network} [profile]: baseline {base_profile[network]:.3f}s, "
+            f"current {cur_profile[network]:.3f}s"
+        )
+    failures += [
+        f"{line} [profile]"
+        for line in check(base_profile, cur_profile, args.threshold, args.min_seconds)
+    ]
 
     ratio_count = 0
     for section in ("multi_seed", "mega_batch", "warm_start"):

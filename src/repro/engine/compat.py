@@ -39,24 +39,27 @@ def profile_compatibility(
     only when the platform has a GPU.  With ``rng`` set, measurements are
     noisy means of ``repeats`` samples, like any other profiled quantity.
     """
-    noise = platform.noise
+    # True costs in measurement order: per edge, one conversion per
+    # processor, then the transfer.
+    has_gpu = platform.has(ProcessorKind.GPU)
+    true_ms: list[float] = []
+    for producer, _consumer in graph.edges():
+        tensor = graph.output_shape(producer)
+        true_ms += [conversion_ms(tensor, proc) for proc in platform.processors]
+        if has_gpu:
+            true_ms.append(platform.transfer_ms(tensor.nbytes))
+
+    # The single inference: one noise draw for every non-zero cost.
+    measured = np.array(true_ms, dtype=np.float64)
+    if rng is not None:
+        drawn = measured != 0.0
+        measured[drawn] = platform.noise.sample_means(measured[drawn], rng, repeats)
+
+    values = iter(measured.tolist())
     conversions: dict[tuple[str, str], dict[ProcessorKind, float]] = {}
     transfers: dict[tuple[str, str], float] = {}
-
-    def measure(true_ms: float) -> float:
-        """One noisy mean-of-repeats measurement of a true latency."""
-        if rng is None or true_ms == 0.0:
-            return true_ms
-        return noise.sample_mean(true_ms, rng, repeats)
-
-    has_gpu = platform.has(ProcessorKind.GPU)
     for edge in graph.edges():
-        producer, _consumer = edge
-        tensor = graph.output_shape(producer)
-        conversions[edge] = {
-            proc.kind: measure(conversion_ms(tensor, proc))
-            for proc in platform.processors
-        }
+        conversions[edge] = {proc.kind: next(values) for proc in platform.processors}
         if has_gpu:
-            transfers[edge] = measure(platform.transfer_ms(tensor.nbytes))
+            transfers[edge] = next(values)
     return conversions, transfers

@@ -18,10 +18,12 @@ Penalty conventions (paper §IV-A, §V-B):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.backends.layout import conversion_ms, layouts_equivalent
+from repro.backends.primitive import Primitive
 from repro.backends.registry import DesignSpace
 from repro.engine.pricing import CostEngine
 from repro.engine.schedule import NetworkSchedule
@@ -63,11 +65,18 @@ class Executor:
     """Runs schedules for one (graph, space, platform) triple."""
 
     def __init__(
-        self, graph: NetworkGraph, space: DesignSpace, platform: Platform
+        self,
+        graph: NetworkGraph,
+        space: DesignSpace,
+        platform: Platform,
+        candidates: Mapping[str, Sequence[Primitive]] | None = None,
     ) -> None:
         self.graph = graph
         self.space = space
         self.platform = platform
+        #: Per-layer :meth:`DesignSpace.candidates` lists the caller already
+        #: has, handed to the engine build instead of enumerating again.
+        self._candidates = candidates
         self._engine: CostEngine | None = None
 
     def engine(self) -> CostEngine:
@@ -79,7 +88,7 @@ class Executor:
         array gathers instead of repeated model evaluations.
         """
         if self._engine is None:
-            self._engine = CostEngine.from_model(self)
+            self._engine = CostEngine.from_model(self, self._candidates)
         return self._engine
 
     # -- noiseless pieces -------------------------------------------------------
@@ -119,27 +128,23 @@ class Executor:
 
         True (model) times come from the compiled :meth:`engine` — two
         array gathers per run instead of one model evaluation per layer
-        and edge.
+        and edge — and the noise of the whole pass is one
+        :meth:`~repro.hw.noise.NoiseModel.sample_means` draw: layers
+        first, then the edges with a non-zero penalty.
         """
         schedule.validate(self.graph, self.space)
         engine = self.engine()
         choices = engine.choices_of(schedule.assignments)
-        layer_true = engine.gather_layer_times(choices).tolist()
-        edge_true = engine.gather_edge_penalties(choices).tolist()
-        noise = self.platform.noise
-        result = ExecutionResult(schedule=schedule)
-        for name, true_ms in zip(engine.layer_names, layer_true):
-            if rng is None:
-                measured = true_ms
-            else:
-                measured = noise.sample_mean(true_ms, rng, repeats)
-            result.layer_ms[name] = measured
-        for edge, true_ms in zip(engine.edges, edge_true):
-            if true_ms == 0.0:
-                continue
-            if rng is None:
-                measured = true_ms
-            else:
-                measured = noise.sample_mean(true_ms, rng, repeats)
-            result.penalty_ms[edge] = measured
-        return result
+        layer_true = engine.gather_layer_times(choices)
+        edge_true = engine.gather_edge_penalties(choices)
+        paid = edge_true != 0.0
+        measured = np.concatenate([layer_true, edge_true[paid]])
+        if rng is not None:
+            measured = self.platform.noise.sample_means(measured, rng, repeats)
+        layer_ms, penalty_ms = np.split(measured, [engine.num_layers])
+        paid_edges = [e for e, p in zip(engine.edges, paid.tolist()) if p]
+        return ExecutionResult(
+            schedule=schedule,
+            layer_ms=dict(zip(engine.layer_names, layer_ms.tolist())),
+            penalty_ms=dict(zip(paid_edges, penalty_ms.tolist())),
+        )

@@ -228,26 +228,31 @@ class CostEngine:
         return lut.indexed().engine()
 
     @classmethod
-    def from_model(cls, executor) -> "CostEngine":
+    def from_model(
+        cls, executor, candidates: Mapping[str, Sequence] | None = None
+    ) -> "CostEngine":
         """Compile an executor's analytic cost model (the board-side
         engine): every (layer, candidate) time and every per-edge
         candidate-pair penalty, evaluated once.
 
         ``executor`` is any object with the :class:`Executor` pricing
         surface (``graph``, ``space``, ``true_layer_ms``,
-        ``true_penalty_ms``).
+        ``true_penalty_ms``).  ``candidates`` maps each layer name to its
+        :meth:`DesignSpace.candidates` list when the caller already
+        enumerated them; otherwise they are enumerated here.
         """
         graph, space = executor.graph, executor.space
         layers = list(graph.layers())
         layer_names = [l.name for l in layers]
-        candidates = [space.candidates(l, graph) for l in layers]
-        candidate_uids = [[p.uid for p in cands] for cands in candidates]
+        if candidates is None:
+            candidates = {l.name: space.candidates(l, graph) for l in layers}
+        candidate_uids = [[p.uid for p in candidates[name]] for name in layer_names]
         times = [
             np.array(
-                [executor.true_layer_ms(name, p.uid) for p in cands],
+                [executor.true_layer_ms(name, uid) for uid in uids],
                 dtype=np.float64,
             )
-            for name, cands in zip(layer_names, candidates)
+            for name, uids in zip(layer_names, candidate_uids)
         ]
         index = {n: i for i, n in enumerate(layer_names)}
         edges = [tuple(e) for e in graph.edges()]

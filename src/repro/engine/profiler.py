@@ -13,6 +13,16 @@ The protocol is exactly the paper's:
 
 Each measurement is the mean of ``repeats`` noisy inferences (the paper
 uses 50 images).
+
+Each piece of work is done once per :meth:`Profiler.profile` call: every
+layer's candidates are enumerated by one :meth:`DesignSpace.candidates`
+call (still the one authority on candidate order), and the same lists
+build the all-Vanilla base schedule, every primitive-type substitution
+(the base with the primitive put wherever it is a candidate) and the
+board's cost engine.  Each board pass draws its noise in one
+:meth:`~repro.hw.noise.NoiseModel.sample_means` call, which reads the
+stream exactly as a per-value loop would, so the LUT bytes are those of
+the straight-line protocol.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from repro.backends.registry import DesignSpace
 from repro.engine.compat import profile_compatibility
 from repro.engine.executor import Executor
 from repro.engine.lut import LatencyTable, PrimitiveMeta
-from repro.engine.schedule import primitive_type_schedule, vanilla_schedule
+from repro.engine.schedule import NetworkSchedule, vanilla_schedule
 from repro.errors import ProfilingError
 from repro.hw.platform import Platform
 from repro.nn.graph import NetworkGraph
@@ -65,44 +75,46 @@ class Profiler:
         self.platform = platform
         self.repeats = repeats
         self._rng_stream = RngStream(seed, "profiler", graph.name, str(space.mode))
-        self._executor = Executor(graph, space, platform)
 
     def profile(self) -> tuple[LatencyTable, ProfilingReport]:
         """Run the full inference phase; returns the LUT and its cost."""
         graph, space = self.graph, self.space
-        times: dict[str, dict[str, float]] = {l.name: {} for l in graph.layers()}
-        candidates = {
-            l.name: [p.uid for p in space.candidates(l, graph)] for l in graph.layers()
-        }
+        layers = graph.layers()
+        # The one candidate enumeration of this profile.
+        per_layer = {l.name: space.candidates(l, graph) for l in layers}
+        candidates = {name: [p.uid for p in ps] for name, ps in per_layer.items()}
+        times: dict[str, dict[str, float]] = {l.name: {} for l in layers}
+        executor = Executor(graph, space, self.platform, candidates=per_layer)
 
         board_ms = 0.0
         inferences = 0
 
         # 1. The all-Vanilla pass measures every vanilla primitive at once.
-        base = vanilla_schedule(graph, space)
+        base = vanilla_schedule(graph, space, per_layer)
         rng = self._rng_stream.child("vanilla")
-        result = self._executor.run(base, rng=rng, repeats=self.repeats)
+        result = executor.run(base, rng=rng, repeats=self.repeats)
         board_ms += result.total_ms * self.repeats
         inferences += 1
-        for layer in graph.layers():
-            times[layer.name][base.primitive_uid(layer.name)] = result.layer_ms[
-                layer.name
-            ]
+        for name, uid in base.assignments.items():
+            times[name][uid] = result.layer_ms[name]
 
-        # 2. One pass per non-Vanilla primitive type.
+        # 2. One pass per non-Vanilla primitive type, substituted into the
+        #    base wherever it is a candidate (i.e. wherever it applies).
         for prim in space.primitives:
             if prim.library == "vanilla":
                 continue
-            if not any(prim.supports(l, graph) for l in graph.layers()):
+            covered = [name for name, uids in candidates.items() if prim.uid in uids]
+            if not covered:
                 continue  # primitive type absent from this network
-            schedule = primitive_type_schedule(graph, space, prim)
+            schedule = NetworkSchedule(
+                graph.name, {**base.assignments, **dict.fromkeys(covered, prim.uid)}
+            )
             rng = self._rng_stream.child("primitive", prim.uid)
-            result = self._executor.run(schedule, rng=rng, repeats=self.repeats)
+            result = executor.run(schedule, rng=rng, repeats=self.repeats)
             board_ms += result.total_ms * self.repeats
             inferences += 1
-            for layer in graph.layers():
-                if schedule.primitive_uid(layer.name) == prim.uid:
-                    times[layer.name][prim.uid] = result.layer_ms[layer.name]
+            for name in covered:
+                times[name][prim.uid] = result.layer_ms[name]
 
         # 3. The compatibility pass (Fig. 3).
         rng = self._rng_stream.child("compat")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 from repro.backends.primitive import Primitive
 from repro.backends.registry import DesignSpace
@@ -82,18 +83,25 @@ class NetworkSchedule:
             raise ScheduleError(f"malformed schedule JSON: {exc}") from exc
 
 
-def vanilla_schedule(graph: NetworkGraph, space: DesignSpace) -> NetworkSchedule:
+def vanilla_schedule(
+    graph: NetworkGraph,
+    space: DesignSpace,
+    candidates: Mapping[str, Sequence[Primitive]] | None = None,
+) -> NetworkSchedule:
     """The all-Vanilla baseline schedule (paper §V-A).
 
     Vanilla "is the most simple, direct, dependency-free and contains all
     layers that a DNN may use" — it is the denominator of every Table II
-    speedup.
+    speedup.  ``candidates`` maps each layer to its
+    :meth:`DesignSpace.candidates` list when the caller already has it.
     """
     schedule = NetworkSchedule(graph.name)
     for layer in graph.layers():
-        vans = [
-            p for p in space.candidates(layer, graph) if p.library == "vanilla"
-        ]
+        cands = (
+            space.candidates(layer, graph) if candidates is None
+            else candidates[layer.name]
+        )
+        vans = [p for p in cands if p.library == "vanilla"]
         if not vans:
             raise ScheduleError(
                 f"no vanilla primitive for layer {layer.name!r} ({layer.kind})"

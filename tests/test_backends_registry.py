@@ -104,3 +104,36 @@ class TestCandidates:
 
     def test_repr(self, tx2):
         assert "gpgpu" in repr(gpgpu_space(tx2))
+
+
+def _registered_primitives():
+    from repro.backends.registry import _CPU_LIBRARIES, _GPU_LIBRARIES
+
+    return [p for m in _CPU_LIBRARIES + _GPU_LIBRARIES for p in m.primitives()]
+
+
+def _derived_uid(prim) -> str:
+    """The uid as it was once rebuilt on every access."""
+    parts = [prim.library, prim.algorithm]
+    if prim.impl:
+        parts.append(prim.impl)
+    uid = ".".join(parts)
+    if prim.blas:
+        uid += f"@{prim.blas}"
+    return uid
+
+
+class TestPrimitiveUid:
+    def test_every_registered_uid_is_the_derived_string(self):
+        prims = _registered_primitives()
+        assert prims
+        for prim in prims:
+            assert prim.uid == _derived_uid(prim)
+            assert prim.uid is prim.uid  # built once per instance
+
+    def test_equality_and_hash_follow_the_uid(self):
+        for a, b in zip(_registered_primitives(), _registered_primitives()):
+            assert a is not b
+            assert a == b and hash(a) == hash(b) == hash(_derived_uid(a))
+        uids = [p.uid for p in _registered_primitives()]
+        assert len(set(uids)) == len(uids)

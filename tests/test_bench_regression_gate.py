@@ -21,25 +21,24 @@ _spec.loader.exec_module(gate)
 
 
 def _artifact(path, clocks, multi_seed=None, mega_batch=None,
-              warm_start=None, backend="reference"):
-    path.write_text(
-        json.dumps(
-            {
-                "version": "1.0.0",
-                "schema_version": 4,
-                "platform": "jetson_tx2",
-                "kernel": {
-                    "backend": backend,
-                    "numba_available": backend == "numba",
-                    "speedup": {},
-                },
-                "search_wall_clock_s": clocks,
-                "multi_seed": multi_seed or {},
-                "mega_batch": mega_batch or {},
-                "warm_start": warm_start or {},
-            }
-        )
-    )
+              warm_start=None, backend="reference", profile=None):
+    payload = {
+        "version": "1.0.0",
+        "schema_version": 4,
+        "platform": "jetson_tx2",
+        "kernel": {
+            "backend": backend,
+            "numba_available": backend == "numba",
+            "speedup": {},
+        },
+        "search_wall_clock_s": clocks,
+        "multi_seed": multi_seed or {},
+        "mega_batch": mega_batch or {},
+        "warm_start": warm_start or {},
+    }
+    if profile is not None:
+        payload.update(schema_version=6, profile_wall_clock_s=profile)
+    path.write_text(json.dumps(payload))
     return path
 
 
@@ -246,6 +245,46 @@ class TestMain:
         good = _artifact(tmp_path / "good.json", {"lenet5": 0.1})
         with pytest.raises(SystemExit):
             gate.main(["--baseline", str(bad), "--current", str(good)])
+
+
+class TestProfileWallClocks:
+    def test_exit_one_on_profile_regression_alone(self, tmp_path, capsys):
+        base = _artifact(
+            tmp_path / "base.json", {"lenet5": 0.1}, profile={"lenet5": 0.1}
+        )
+        slow = _artifact(
+            tmp_path / "slow.json", {"lenet5": 0.1}, profile={"lenet5": 0.2}
+        )
+        assert gate.main(["--baseline", str(base), "--current", str(slow)]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED" in out and "[profile]" in out
+
+    def test_profile_growth_within_threshold_passes(self, tmp_path):
+        base = _artifact(
+            tmp_path / "base.json", {"lenet5": 0.1}, profile={"lenet5": 0.1}
+        )
+        now = _artifact(
+            tmp_path / "now.json", {"lenet5": 0.1}, profile={"lenet5": 0.14}
+        )
+        assert gate.main(["--baseline", str(base), "--current", str(now)]) == 0
+
+    def test_profile_noise_floor_applies(self, tmp_path):
+        base = _artifact(
+            tmp_path / "base.json", {"lenet5": 0.1}, profile={"lenet5": 0.004}
+        )
+        now = _artifact(
+            tmp_path / "now.json", {"lenet5": 0.1}, profile={"lenet5": 0.016}
+        )
+        assert gate.main(["--baseline", str(base), "--current", str(now)]) == 0
+
+    def test_baseline_without_the_section_is_not_gated(self, tmp_path, capsys):
+        base = _artifact(tmp_path / "base.json", {"lenet5": 0.1})
+        now = _artifact(
+            tmp_path / "now.json", {"lenet5": 0.1}, profile={"lenet5": 99.0}
+        )
+        assert gate.main(["--baseline", str(base), "--current", str(now)]) == 0
+        assert "not in the baseline" in capsys.readouterr().out
+        assert gate.profile_clocks_of(json.loads(base.read_text())) == {}
 
 
 def _service_artifact(path, jobs_per_s, fleet_speedup=5.0):

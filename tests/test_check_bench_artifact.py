@@ -179,6 +179,41 @@ class TestWarmStartSection:
         assert any("kind" in p for p in problems)
 
 
+def _profile_artifact(**overrides):
+    payload = _warm_artifact(
+        schema_version=gate.PROFILE_SCHEMA_VERSION,
+        profile_wall_clock_s={"lenet5": 0.005, "resnet50": 0.054},
+    )
+    payload.update(overrides)
+    return payload
+
+
+class TestProfileSection:
+    def test_valid_profile_artifact_passes(self):
+        assert gate.check_artifact(_profile_artifact()) == []
+
+    def test_schema_5_artifacts_need_no_profile_section(self):
+        assert gate.check_artifact(_warm_artifact()) == []
+
+    def test_schema_6_requires_the_section(self):
+        payload = _profile_artifact()
+        del payload["profile_wall_clock_s"]
+        problems = gate.check_artifact(payload)
+        assert any("profile_wall_clock_s" in p for p in problems)
+
+    def test_empty_section_fails(self):
+        problems = gate.check_artifact(_profile_artifact(profile_wall_clock_s={}))
+        assert any("no profile wall clocks" in p for p in problems)
+
+    def test_nonpositive_or_missing_clock_fails(self):
+        payload = _profile_artifact(
+            profile_wall_clock_s={"lenet5": 0.0, "resnet50": None}
+        )
+        problems = gate.check_artifact(payload)
+        assert len(problems) == 2
+        assert all("must be a positive number" in p for p in problems)
+
+
 class TestMain:
     def test_valid_artifact_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "BENCH_search.json"

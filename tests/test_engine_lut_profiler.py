@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import Mode, gpgpu_space
+from repro.backends import Mode, design_space, gpgpu_space
+from repro.backends.layout import conversion_ms
 from repro.engine import InferenceEngineOptimizer, Profiler
 from repro.engine.compat import profile_compatibility
-from repro.engine.lut import LatencyTable
+from repro.engine.executor import Executor
+from repro.engine.lut import LatencyTable, PrimitiveMeta
+from repro.engine.schedule import primitive_type_schedule, vanilla_schedule
 from repro.errors import LookupError_, ProfilingError, ScheduleError
 from repro.hw import jetson_tx2
 from repro.hw.processor import ProcessorKind
+from repro.utils.rng import RngStream
 from repro.zoo import build_network
 
 from tests.helpers import synthetic_chain_lut
@@ -303,6 +307,123 @@ class TestProfiler:
         graph = build_network("lenet5")
         with pytest.raises(ProfilingError):
             Profiler(graph, gpgpu_space(platform), platform, repeats=0)
+
+
+def _reference_profile(graph, space, platform, seed, repeats=50):
+    """The inference phase written straight out, one value at a time.
+
+    Every layer's candidates come from ``space.candidates`` wherever
+    they are needed, every pass's schedule from ``vanilla_schedule`` /
+    ``primitive_type_schedule``, and every measurement is its own
+    ``sample_mean`` draw, in the board's order: layers, then the edges
+    with a non-zero penalty.  ``Profiler.profile`` must produce the
+    same LUT bytes and the same simulated board time.
+    """
+    streams = RngStream(seed, "profiler", graph.name, str(space.mode))
+    executor = Executor(graph, space, platform)
+    noise = platform.noise
+
+    def run(schedule, rng):
+        layer_ms = {
+            l.name: noise.sample_mean(
+                executor.true_layer_ms(l.name, schedule.primitive_uid(l.name)),
+                rng, repeats,
+            )
+            for l in graph.layers()
+        }
+        penalty_ms = {}
+        for producer, consumer in graph.edges():
+            true_ms = executor.true_penalty_ms(
+                producer, consumer,
+                schedule.primitive_uid(producer), schedule.primitive_uid(consumer),
+            )
+            if true_ms != 0.0:
+                penalty_ms[producer, consumer] = noise.sample_mean(
+                    true_ms, rng, repeats
+                )
+        nonlocal board_ms
+        board_ms += (
+            sum(layer_ms.values()) + sum(penalty_ms.values())
+        ) * repeats
+        return layer_ms
+
+    board_ms = 0.0
+    times = {l.name: {} for l in graph.layers()}
+    base = vanilla_schedule(graph, space)
+    layer_ms = run(base, streams.child("vanilla"))
+    for layer in graph.layers():
+        times[layer.name][base.primitive_uid(layer.name)] = layer_ms[layer.name]
+    inferences = 1
+    for prim in space.primitives:
+        if prim.library == "vanilla":
+            continue
+        if not any(prim.supports(l, graph) for l in graph.layers()):
+            continue
+        schedule = primitive_type_schedule(graph, space, prim)
+        layer_ms = run(schedule, streams.child("primitive", prim.uid))
+        inferences += 1
+        for layer in graph.layers():
+            if schedule.primitive_uid(layer.name) == prim.uid:
+                times[layer.name][prim.uid] = layer_ms[layer.name]
+
+    rng = streams.child("compat")
+    conversions, transfers = {}, {}
+    for edge in graph.edges():
+        tensor = graph.output_shape(edge[0])
+
+        def measure(true_ms):
+            return true_ms if true_ms == 0.0 else noise.sample_mean(true_ms, rng, repeats)
+
+        conversions[edge] = {
+            proc.kind: measure(conversion_ms(tensor, proc))
+            for proc in platform.processors
+        }
+        if platform.has(ProcessorKind.GPU):
+            transfers[edge] = measure(platform.transfer_ms(tensor.nbytes))
+    board_ms += (
+        sum(ms for per_proc in conversions.values() for ms in per_proc.values())
+        + sum(transfers.values())
+    ) * repeats
+
+    lut = LatencyTable(
+        graph_name=graph.name,
+        mode=str(space.mode),
+        platform_name=platform.name,
+        layers=[l.name for l in graph.layers()],
+        candidates={
+            l.name: [p.uid for p in space.candidates(l, graph)]
+            for l in graph.layers()
+        },
+        times_ms=times,
+        edges=graph.edges(),
+        conversion_ms=conversions,
+        transfer_ms=transfers,
+        meta={p.uid: PrimitiveMeta.from_primitive(p) for p in space.primitives},
+        profiling_inferences=inferences,
+    )
+    return lut, board_ms
+
+
+class TestProfilerMatchesReference:
+    """A fresh profile's LUT bytes do not depend on how candidates are
+    enumerated or how the noise of a board pass is drawn."""
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("mode", [Mode.CPU, Mode.GPGPU], ids=str)
+    @pytest.mark.parametrize(
+        "network",
+        ["lenet5", "alexnet", "mtcnn_onet", "squeezenet_v1.1", "googlenet",
+         "resnet50"],
+    )
+    def test_lut_json_byte_identical(self, network, mode, seed):
+        platform = jetson_tx2()
+        graph = build_network(network)
+        space = design_space(mode, platform)
+        lut, report = Profiler(graph, space, platform, seed=seed).profile()
+        reference, board_ms = _reference_profile(graph, space, platform, seed)
+        assert lut.to_json() == reference.to_json()
+        assert report.network_inferences == reference.profiling_inferences
+        assert report.simulated_board_ms == board_ms
 
 
 class TestCompatProfiling:

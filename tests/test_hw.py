@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import PlatformError
 from repro.hw import (
@@ -127,6 +128,52 @@ class TestNoiseModel:
     def test_negative_true_ms_rejected(self):
         with pytest.raises(PlatformError):
             NoiseModel(0.1).sample(-1.0, derive_rng(0, "t"))
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_sample_mean_rejects_negative_true_ms(self, sigma):
+        with pytest.raises(PlatformError):
+            NoiseModel(sigma).sample_mean(-1.0, derive_rng(0, "t"), 50)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.0])
+    def test_sample_means_rejects_any_negative_true_ms(self, sigma):
+        with pytest.raises(PlatformError):
+            NoiseModel(sigma).sample_means([1.0, -1.0], derive_rng(0, "t"), 50)
+
+    def test_sample_means_bad_repeats_rejected(self):
+        with pytest.raises(PlatformError):
+            NoiseModel(0.1).sample_means([1.0], derive_rng(0, "t"), 0)
+
+    def test_sample_means_of_nothing_draws_nothing(self):
+        rng, twin = derive_rng(0, "t"), derive_rng(0, "t")
+        assert NoiseModel(0.1).sample_means([], rng, 50).shape == (0,)
+        assert rng.normal() == twin.normal()
+
+
+class TestOneDrawNoise:
+    """``sample_means`` is the per-value ``sample_mean`` loop, bitwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        true_ms=st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+            ),
+            max_size=40,
+        ),
+        repeats=st.sampled_from([1, 50, 129, 300]),
+        sigma=st.sampled_from([0.0, 0.03, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_per_value_loop(self, true_ms, repeats, sigma, seed):
+        noise = NoiseModel(sigma)
+        loop_rng = np.random.default_rng(seed)
+        draw_rng = np.random.default_rng(seed)
+        looped = [noise.sample_mean(t, loop_rng, repeats) for t in true_ms]
+        drawn = noise.sample_means(true_ms, draw_rng, repeats)
+        assert [m.hex() for m in drawn.tolist()] == [m.hex() for m in looped]
+        # Same stream position afterwards: the next draw agrees.
+        assert draw_rng.normal() == loop_rng.normal()
 
 
 class TestPlatform:
